@@ -288,3 +288,35 @@ func BenchmarkSplitRegionImageNet(b *testing.B) {
 	}
 	b.ReportMetric(kb, "split-region-KB")
 }
+
+// BenchmarkRunNetworkImageNetM7 executes the whole ImageNet schedule on
+// the Cortex-M7 profile through netplan.Run — the verified request path
+// the server takes: every unit on its own simulated device, each output
+// checked bit-exactly against the golden recompute. Metric: simulated
+// device Mcycles summed over the units (a host-speed change must leave it
+// unchanged).
+func BenchmarkRunNetworkImageNetM7(b *testing.B) {
+	net := ImageNet()
+	prof := mcu.CortexM7()
+	cache := netplan.NewCache()
+	if _, _, err := cache.Plan(net, netplan.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	var mcycles float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run, err := netplan.Run(prof, net, int64(i), netplan.Options{}, cache)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !run.AllVerified || run.Violations != 0 {
+			b.Fatal("ImageNet run failed verification")
+		}
+		var st mcu.Stats
+		for _, r := range append(append([]graph.ExecResult(nil), run.Modules...), run.Seams...) {
+			st.Add(r.Stats)
+		}
+		mcycles = st.Cycles(prof) / 1e6
+	}
+	b.ReportMetric(mcycles, "sim-Mcycles")
+}

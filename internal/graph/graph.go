@@ -161,7 +161,8 @@ func RunModuleWithPlan(profile mcu.Profile, cfg plan.Bottleneck, p plan.Plan, se
 			cfg.Name, need, poolBytes, p.WorkspaceBytes, profile.RAMBytes())
 	}
 	flashNeed := cfg.Cmid*cfg.Cin + cfg.R*cfg.S*cfg.Cmid + cfg.Cout*cfg.Cmid + 4*(2*cfg.Cmid+cfg.Cout) + 64
-	dev := mcu.New(profile, flashNeed)
+	dev := mcu.Acquire(profile, flashNeed)
+	defer mcu.Release(dev)
 	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
 	if err != nil {
 		return ExecResult{}, err

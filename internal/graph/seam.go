@@ -30,7 +30,8 @@ func RunSeam(profile mcu.Profile, spec plan.SeamSpec, p plan.Plan, seed int64) (
 			spec.Name, need, poolBytes, p.WorkspaceBytes, profile.RAMBytes())
 	}
 	flashNeed := spec.Cout*spec.Cin + 4*spec.Cout + 64
-	dev := mcu.New(profile, flashNeed)
+	dev := mcu.Acquire(profile, flashNeed)
+	defer mcu.Release(dev)
 	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
 	if err != nil {
 		return ExecResult{}, err

@@ -43,7 +43,8 @@ func RunSplitRegion(profile mcu.Profile, sp plan.SplitPlan, seed int64) (ExecRes
 	for _, cfg := range mods {
 		flashNeed += cfg.Cmid*cfg.Cin + cfg.R*cfg.S*cfg.Cmid + cfg.Cout*cfg.Cmid + 4*(2*cfg.Cmid+cfg.Cout) + 64
 	}
-	dev := mcu.New(profile, flashNeed)
+	dev := mcu.Acquire(profile, flashNeed)
+	defer mcu.Release(dev)
 	pool, err := seg.NewPool(dev, 0, poolBytes, sp.SegBytes)
 	if err != nil {
 		return ExecResult{}, err

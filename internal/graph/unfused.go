@@ -38,7 +38,8 @@ func RunModuleUnfused(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (Exe
 	rng := rand.New(rand.NewSource(seed))
 	wt := randomBottleneckWeights(rng, cfg)
 	flashNeed := len(wt.W1) + len(wt.Wd) + len(wt.W2) + 4*(len(wt.B1)+len(wt.Bd)+len(wt.B2)) + 64
-	dev := mcu.New(profile, flashNeed)
+	dev := mcu.Acquire(profile, flashNeed)
+	defer mcu.Release(dev)
 	const segGran = 4 // the kernels address the pool byte-wise
 	capBytes := (chain.FootprintBytes + segGran - 1) / segGran * segGran
 	pool, err := seg.NewPool(dev, 0, capBytes, segGran)

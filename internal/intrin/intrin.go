@@ -4,6 +4,9 @@
 // accounting. RAMLoad/RAMStore include the circular-buffer boundary check
 // (a modulo, charged by the pool) and a branch; Dot is the fixed-size
 // 2×2×16 int8 matrix multiply that lowers to SXTB16/SMLAD sequences on ARM.
+// Each intrinsic computes with plain host arithmetic and charges its
+// modeled instruction sequence's counters once per call; MatVec fuses the
+// pointwise FlashLoad/DotVec/Requantize row loop under the same charges.
 package intrin
 
 import (
@@ -34,17 +37,15 @@ func (c *Ctx) stage(n int) []byte {
 	return c.scratch[:n]
 }
 
-// RegAlloc allocates a register-file accumulator array of n int32 lanes
-// initialized to v, charging the zeroing/mov ALU ops.
-func (c *Ctx) RegAlloc(n int, v int32) []int32 {
-	c.Dev.CountALU(n)
-	r := make([]int32, n)
-	if v != 0 {
-		for i := range r {
-			r[i] = v
-		}
+// RegAlloc initializes the register-file accumulator array acc to v,
+// charging one zeroing/mov ALU op per lane. The caller owns acc, the way
+// a kernel's register allocation is fixed at compile time, so reusing it
+// per output pixel allocates nothing.
+func (c *Ctx) RegAlloc(acc []int32, v int32) {
+	c.Dev.CountALU(len(acc))
+	for i := range acc {
+		acc[i] = v
 	}
-	return r
 }
 
 // RAMLoad loads n bytes of tensor owner at logical pool byte offset off
@@ -76,31 +77,28 @@ func (c *Ctx) RAMFree(off, n int, owner mcu.TensorID) {
 	c.Dev.CountBranches(1)
 }
 
-// FlashLoad reads n int8 weights from Flash at ref.Off+off into dst.
+// Flash returns n int8 weights of blob ref starting at element off as a
+// read-only view of device Flash, charging n bytes of Flash traffic —
+// FlashLoad without the copy, for kernels that consume weights in place.
+func (c *Ctx) Flash(ref mcu.FlashRef, off, n int) []int8 {
+	if off < 0 || n < 0 || off+n > ref.Len {
+		panic(fmt.Sprintf("intrin: flash load [%d,%d) outside blob of %d bytes", off, off+n, ref.Len))
+	}
+	return c.Dev.FlashView(ref.Off+off, n)
+}
+
+// FlashLoad reads len(dst) int8 weights from Flash at ref.Off+off into dst.
 func (c *Ctx) FlashLoad(dst []int8, ref mcu.FlashRef, off int) {
-	if off < 0 || off+len(dst) > ref.Len {
-		panic(fmt.Sprintf("intrin: flash load [%d,%d) outside blob of %d bytes", off, off+len(dst), ref.Len))
-	}
-	buf := c.stage(len(dst))
-	c.Dev.FlashRead(ref.Off+off, buf)
-	for i, b := range buf {
-		dst[i] = int8(b)
-	}
+	copy(dst, c.Flash(ref, off, len(dst)))
 }
 
 // FlashLoadInt32 reads n little-endian int32 values (bias vectors) from
 // Flash at ref.Off + 4*off.
 func (c *Ctx) FlashLoadInt32(dst []int32, ref mcu.FlashRef, off int) {
-	byteOff := 4 * off
-	n := 4 * len(dst)
-	if byteOff < 0 || byteOff+n > ref.Len {
-		panic(fmt.Sprintf("intrin: flash load32 [%d,%d) outside blob of %d bytes", byteOff, byteOff+n, ref.Len))
-	}
-	buf := c.stage(n)
-	c.Dev.FlashRead(ref.Off+byteOff, buf)
+	b := c.Flash(ref, 4*off, 4*len(dst))
 	for i := range dst {
-		b := buf[4*i:]
-		dst[i] = int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+		dst[i] = int32(uint32(uint8(b[4*i])) | uint32(uint8(b[4*i+1]))<<8 |
+			uint32(uint8(b[4*i+2]))<<16 | uint32(uint8(b[4*i+3]))<<24)
 	}
 }
 
@@ -110,27 +108,55 @@ func (c *Ctx) Broadcast(v int16) uint32 {
 	return mcu.Broadcast16(v)
 }
 
-// DotVec accumulates the int8 dot product of a and b into *acc using the
-// packed SXTB16/SMLAD sequence in chunks of four (the scalar tail uses
-// single MACs). It charges 2 MACs per SMLAD plus the widening ALU ops.
+// DotVec accumulates the int8 dot product of a and b into *acc. On the
+// MCU it is the packed SXTB16/SMLAD sequence in chunks of four with single
+// MACs for the scalar tail (mcu.DotInt8x4); the host computes the same
+// int32 sum directly, since the packed lanes never overflow and int32
+// addition is exact mod 2³². The charge is that sequence's total: per
+// element one MAC (two per SMLAD, two SMLADs per chunk) and one widening
+// ALU op (SXTB16 + ROR per chunk of four), charged once per call.
 func (c *Ctx) DotVec(a, b []int8, acc *int32) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("intrin: dot of mismatched lengths %d, %d", len(a), len(b)))
 	}
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		pa := mcu.PackBytes(a[i], a[i+1], a[i+2], a[i+3])
-		pb := mcu.PackBytes(b[i], b[i+1], b[i+2], b[i+3])
-		*acc = mcu.DotInt8x4(pa, pb, *acc)
-		c.Dev.CountMACs(4) // two SMLADs
-		c.Dev.CountALU(4)  // SXTB16 + ROR widening
+	*acc += dot(a, b)
+	c.Dev.CountMACs(len(a))
+	c.Dev.CountALU(len(a))
+}
+
+// dot is the plain int32 dot product of equal-length int8 vectors.
+func dot(a, b []int8) int32 {
+	b = b[:len(a)]
+	var s int32
+	for i, v := range a {
+		s += int32(v) * int32(b[i])
 	}
-	for ; i < n; i++ {
-		*acc += int32(a[i]) * int32(b[i])
-		c.Dev.CountMACs(1)
-		c.Dev.CountALU(1)
+	return s
+}
+
+// MatVec is the fused pointwise mat-vec: for each output channel n,
+//
+//	dst[n] = requant(bias[n] + a · W[n])
+//
+// where W[n] is the n-th len(a)-element row of blob ref starting at
+// element off (output-major weights, CMSIS convention) and a nil bias
+// starts from zero. It charges exactly what len(dst) rounds of FlashLoad,
+// DotVec and Requantize charge, once per call.
+func (c *Ctx) MatVec(dst, a []int8, ref mcu.FlashRef, off int, bias []int32, req tensor.Requant) {
+	k := len(a)
+	if bias != nil && len(bias) != len(dst) {
+		panic(fmt.Sprintf("intrin: mat-vec bias of %d for %d outputs", len(bias), len(dst)))
 	}
+	w := c.Flash(ref, off, len(dst)*k)
+	for n := range dst {
+		var acc int32
+		if bias != nil {
+			acc = bias[n]
+		}
+		dst[n] = req.Apply(acc + dot(a, w[n*k:(n+1)*k]))
+	}
+	c.Dev.CountMACs(len(dst) * k)
+	c.Dev.CountALU(len(dst) * (k + requantALU))
 }
 
 // Dot is the paper's fixed-size 2×2×16 matrix-multiply intrinsic:
@@ -152,10 +178,13 @@ func (c *Ctx) Dot(a0, a1, b0, b1 []int8, acc *[4]int32) {
 	c.DotVec(a1, b1, &acc[3])
 }
 
+// requantALU is the ALU charge of one Requantize.
+const requantALU = 4
+
 // Requantize converts an int32 accumulator to int8 output, charging the
 // fixed-point multiply/shift/saturate sequence (~4 ALU ops).
 func (c *Ctx) Requantize(acc int32, req tensor.Requant) int8 {
-	c.Dev.CountALU(4)
+	c.Dev.CountALU(requantALU)
 	return req.Apply(acc)
 }
 

@@ -22,11 +22,13 @@ func newCtx(t *testing.T) *Ctx {
 
 func TestRegAllocZeroAndInit(t *testing.T) {
 	c := newCtx(t)
-	r := c.RegAlloc(8, 0)
-	if len(r) != 8 || r[3] != 0 {
+	r := []int32{5, 5, 5, 5, 5, 5, 5, 5}
+	c.RegAlloc(r, 0)
+	if r[0] != 0 || r[3] != 0 || r[7] != 0 {
 		t.Errorf("RegAlloc zero wrong: %v", r)
 	}
-	r = c.RegAlloc(4, -7)
+	r = r[:4]
+	c.RegAlloc(r, -7)
 	if r[0] != -7 || r[3] != -7 {
 		t.Errorf("RegAlloc init wrong: %v", r)
 	}

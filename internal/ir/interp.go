@@ -84,7 +84,12 @@ func (st *interpState) exec(n Node) error {
 		delete(st.env, v.Var)
 		return nil
 	case RegAlloc:
-		st.i32[v.Name] = st.ctx.RegAlloc(v.Lanes, 0)
+		acc := st.i32[v.Name]
+		if len(acc) != v.Lanes {
+			acc = make([]int32, v.Lanes)
+			st.i32[v.Name] = acc
+		}
+		st.ctx.RegAlloc(acc, 0)
 		return nil
 	case LoadBias:
 		off, err := v.Off.Eval(st.env)

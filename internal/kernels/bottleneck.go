@@ -27,7 +27,6 @@ type Bottleneck struct {
 	w1, wd, w2 mcu.FlashRef
 	b1, bd, b2 mcu.FlashRef
 	loaded     bool
-	scratch    []byte
 }
 
 // NewBottleneck packs the module weights into device Flash.
@@ -209,11 +208,13 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 	}
 
 	aBuf := make([]int8, cfg.Cin)
-	wBuf := make([]int8, maxIntK(cfg.Cin, cfg.Cmid))
 	bPix := make([]int8, cfg.Cmid)
 	cPix := make([]int8, cfg.Cmid)
 	dPix := make([]int8, cfg.Cout)
 	ePix := make([]int8, cfg.Cout)
+	accD := make([]int32, cfg.Cmid) // the depthwise register file
+	// pixBuf carries one pixel through the tagged workspace accesses.
+	pixBuf := make([]byte, maxIntK(cfg.Cmid, cfg.Cout))
 	bias1 := make([]int32, cfg.Cmid)
 	biasD := make([]int32, cfg.Cmid)
 	bias2 := make([]int32, cfg.Cout)
@@ -226,22 +227,16 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 	computeBPixel := func(slot, r, bh, bw int) {
 		wsPix := wsBase + slot*colBytes + r*cfg.Cmid
 		if bh < 0 || bh >= h1 || bw < 0 || bw >= w1 {
-			for i := range bPix {
-				bPix[i] = 0
-			}
-			c.Dev.WriteTagged(wsPix, int8ToBytes(bPix), wsID, wsPix-wsBase)
+			zero := pixBuf[:cfg.Cmid]
+			clear(zero)
+			c.Dev.WriteTagged(wsPix, zero, wsID, wsPix-wsBase)
 			return
 		}
 		ah, aw := bh*cfg.S1, bw*cfg.S1
 		elem := ((ah-span.inRow0)*cfg.W + aw) * cfg.Cin
 		c.RAMLoad(aBuf, in.Off+elem, in.ID, elem)
-		for n := 0; n < cfg.Cmid; n++ {
-			acc := bias1[n]
-			c.FlashLoad(wBuf[:cfg.Cin], k.w1, n*cfg.Cin)
-			c.DotVec(aBuf, wBuf[:cfg.Cin], &acc)
-			bPix[n] = c.Requantize(acc, k.Weights.Req1)
-		}
-		c.Dev.WriteTagged(wsPix, int8ToBytes(bPix), wsID, wsPix-wsBase)
+		c.MatVec(bPix, aBuf, k.w1, 0, bias1, k.Weights.Req1)
+		c.Dev.WriteTagged(wsPix, int8Bytes(pixBuf, bPix), wsID, wsPix-wsBase)
 	}
 
 	// ensureColumn brings window column bw at base row bh0 into its slot.
@@ -292,8 +287,9 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 				ensureColumn(slot, bh0, bw)
 			}
 			// Depthwise: accumulate over the window from the workspace.
-			accD := c.RegAlloc(cfg.Cmid, 0)
+			c.RegAlloc(accD, 0)
 			copy(accD, biasD)
+			bPixBytes := pixBuf[:cfg.Cmid]
 			for r := 0; r < cfg.R; r++ {
 				bh := bh0 + r
 				if bh < 0 || bh >= h1 {
@@ -306,11 +302,10 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 					}
 					slot := ((bw % cfg.S) + cfg.S) % cfg.S
 					wsPix := wsBase + slot*colBytes + r*cfg.Cmid
-					c.Dev.ReadTagged(wsPix, k.scratchBytes(bPix), wsID, wsPix-wsBase)
-					bytesToInt8(k.scratchBytes(bPix), bPix)
-					c.FlashLoad(wBuf[:cfg.Cmid], k.wd, (r*cfg.S+s)*cfg.Cmid)
-					for cc := 0; cc < cfg.Cmid; cc++ {
-						accD[cc] += int32(bPix[cc]) * int32(wBuf[cc])
+					c.Dev.ReadTagged(wsPix, bPixBytes, wsID, wsPix-wsBase)
+					wd := c.Flash(k.wd, (r*cfg.S+s)*cfg.Cmid, cfg.Cmid)
+					for cc, b := range bPixBytes {
+						accD[cc] += int32(int8(b)) * int32(wd[cc])
 					}
 					c.Dev.CountMACs(cfg.Cmid)
 				}
@@ -318,22 +313,17 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 			for i := range cPix {
 				cPix[i] = c.Requantize(accD[i], k.Weights.ReqD)
 			}
-			c.Dev.WriteTagged(wsBase+cOff, int8ToBytes(cPix), wsID, cOff)
+			c.Dev.WriteTagged(wsBase+cOff, int8Bytes(pixBuf, cPix), wsID, cOff)
 
 			// Second pointwise: C pixel -> D pixel.
-			c.Dev.ReadTagged(wsBase+cOff, k.scratchBytes(cPix), wsID, cOff)
-			bytesToInt8(k.scratchBytes(cPix), cPix)
-			for n := 0; n < cfg.Cout; n++ {
-				acc := bias2[n]
-				c.FlashLoad(wBuf[:cfg.Cmid], k.w2, n*cfg.Cmid)
-				c.DotVec(cPix, wBuf[:cfg.Cmid], &acc)
-				dPix[n] = c.Requantize(acc, k.Weights.Req2)
-			}
-			c.Dev.WriteTagged(wsBase+dOff, int8ToBytes(dPix), wsID, dOff)
+			c.Dev.ReadTagged(wsBase+cOff, pixBuf[:cfg.Cmid], wsID, cOff)
+			bytesToInt8(pixBuf[:cfg.Cmid], cPix)
+			c.MatVec(dPix, cPix, k.w2, 0, bias2, k.Weights.Req2)
+			c.Dev.WriteTagged(wsBase+dOff, int8Bytes(pixBuf, dPix), wsID, dOff)
 
 			// Residual add with the corresponding A pixel, then store E.
-			c.Dev.ReadTagged(wsBase+dOff, k.scratchBytes(dPix), wsID, dOff)
-			bytesToInt8(k.scratchBytes(dPix), dPix)
+			c.Dev.ReadTagged(wsBase+dOff, pixBuf[:cfg.Cout], wsID, dOff)
+			bytesToInt8(pixBuf[:cfg.Cout], dPix)
 			if residual {
 				elemA := ((p3-span.inRow0)*cfg.W + q3) * cfg.Cin
 				c.RAMLoad(aBuf, in.Off+elemA, in.ID, elemA)
@@ -361,21 +351,14 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 	return nil
 }
 
-// scratchBytes returns a byte view buffer sized like the int8 slice (the
-// workspace round-trips through tagged device accesses).
-func (k *Bottleneck) scratchBytes(ref []int8) []byte {
-	if k.scratch == nil || cap(k.scratch) < len(ref) {
-		k.scratch = make([]byte, len(ref))
-	}
-	return k.scratch[:len(ref)]
-}
-
-func int8ToBytes(src []int8) []byte {
-	out := make([]byte, len(src))
+// int8Bytes copies src into the byte buffer dst (for a tagged device
+// write) and returns the filled prefix.
+func int8Bytes(dst []byte, src []int8) []byte {
+	dst = dst[:len(src)]
 	for i, v := range src {
-		out[i] = byte(v)
+		dst[i] = byte(v)
 	}
-	return out
+	return dst
 }
 
 func bytesToInt8(src []byte, dst []int8) {

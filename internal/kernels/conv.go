@@ -55,8 +55,8 @@ func (k *Conv2D) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error
 	c.Dev.CountCalls(1)
 
 	aBuf := make([]int8, sp.C)
-	wBuf := make([]int8, sp.C)
 	oBuf := make([]int8, sp.K)
+	acc := make([]int32, sp.K)
 	biasBuf := make([]int32, sp.K)
 	if k.Bias.Len != 0 {
 		c.FlashLoadInt32(biasBuf, k.Bias, 0)
@@ -65,7 +65,7 @@ func (k *Conv2D) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error
 	freed := 0 // input rows [0, freed) already released
 	for op := 0; op < oh; op++ {
 		for oq := 0; oq < ow; oq++ {
-			acc := c.RegAlloc(sp.K, 0)
+			c.RegAlloc(acc, 0)
 			if k.Bias.Len != 0 {
 				copy(acc, biasBuf)
 			}
@@ -82,8 +82,7 @@ func (k *Conv2D) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error
 					elem := (ih*sp.W + iw) * sp.C
 					c.RAMLoad(aBuf, in.Off+elem, in.ID, elem)
 					for n := 0; n < sp.K; n++ {
-						c.FlashLoad(wBuf, k.Weight, ((n*sp.R+r)*sp.S+s)*sp.C)
-						c.DotVec(aBuf, wBuf, &acc[n])
+						c.DotVec(aBuf, c.Flash(k.Weight, ((n*sp.R+r)*sp.S+s)*sp.C, sp.C), &acc[n])
 					}
 				}
 			}
@@ -150,8 +149,8 @@ func (k *Depthwise) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, er
 	c.Dev.CountCalls(1)
 
 	aBuf := make([]int8, k.C)
-	wBuf := make([]int8, k.C)
 	oBuf := make([]int8, k.C)
+	acc := make([]int32, k.C)
 	biasBuf := make([]int32, k.C)
 	if k.Bias.Len != 0 {
 		c.FlashLoadInt32(biasBuf, k.Bias, 0)
@@ -160,7 +159,7 @@ func (k *Depthwise) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, er
 	freed := 0
 	for op := 0; op < oh; op++ {
 		for oq := 0; oq < ow; oq++ {
-			acc := c.RegAlloc(k.C, 0)
+			c.RegAlloc(acc, 0)
 			if k.Bias.Len != 0 {
 				copy(acc, biasBuf)
 			}
@@ -176,9 +175,9 @@ func (k *Depthwise) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, er
 					}
 					elem := (ih*k.W + iw) * k.C
 					c.RAMLoad(aBuf, in.Off+elem, in.ID, elem)
-					c.FlashLoad(wBuf, k.Weight, (r*k.S+s)*k.C)
-					for cc := 0; cc < k.C; cc++ {
-						acc[cc] += int32(aBuf[cc]) * int32(wBuf[cc])
+					w := c.Flash(k.Weight, (r*k.S+s)*k.C, k.C)
+					for cc, a := range aBuf {
+						acc[cc] += int32(a) * int32(w[cc])
 					}
 					c.Dev.CountMACs(k.C)
 				}

@@ -67,19 +67,15 @@ func (f *FC) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) {
 	c.Dev.CountCalls(1)
 
 	aBuf := make([]int8, seg)
-	wBuf := make([]int8, seg)
 	oBuf := make([]int8, seg)
-	biasBuf := make([]int32, seg)
+	acc := make([]int32, seg)
 
 	for m := 0; m < f.M; m++ {
 		for ns := 0; ns < nSegs; ns++ {
 			n0 := ns * seg
-			acc := c.RegAlloc(seg, 0)
+			c.RegAlloc(acc, 0)
 			if f.Bias.Len != 0 {
-				c.FlashLoadInt32(biasBuf, f.Bias, n0)
-				for i := range acc {
-					acc[i] = biasBuf[i]
-				}
+				c.FlashLoadInt32(acc, f.Bias, n0)
 			}
 			for ks := 0; ks < kSegs; ks++ {
 				k0 := ks * seg
@@ -87,8 +83,7 @@ func (f *FC) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) {
 				c.RAMLoad(aBuf, in.Off+m*f.K+k0, in.ID, m*f.K+k0)
 				// Inner tiling: one weight row per output lane.
 				for ni := 0; ni < seg; ni++ {
-					c.FlashLoad(wBuf, f.Weight, (n0+ni)*f.K+k0)
-					c.DotVec(aBuf, wBuf, &acc[ni])
+					c.DotVec(aBuf, c.Flash(f.Weight, (n0+ni)*f.K+k0, seg), &acc[ni])
 				}
 			}
 			for i := range oBuf {

@@ -44,15 +44,18 @@ func GoldenPointwise(in []int8, h, w, c, k, stride int, wt []int8, bias []int32,
 	for p := 0; p < oh; p++ {
 		for q := 0; q < ow; q++ {
 			base := (p*stride*w + q*stride) * c
-			for n := 0; n < k; n++ {
+			px := in[base : base+c]
+			orow := out[(p*ow+q)*k : (p*ow+q+1)*k]
+			for n := range orow {
 				var acc int32
 				if bias != nil {
 					acc = bias[n]
 				}
-				for cc := 0; cc < c; cc++ {
-					acc += int32(in[base+cc]) * int32(wt[n*c+cc])
+				wrow := wt[n*c : (n+1)*c]
+				for cc, v := range px {
+					acc += int32(v) * int32(wrow[cc])
 				}
-				out[(p*ow+q)*k+n] = req.Apply(acc)
+				orow[n] = req.Apply(acc)
 			}
 		}
 	}
@@ -98,7 +101,9 @@ func GoldenConv2D(in []int8, h, w, c, k, r, s, stride, pad int, wt []int8, bias 
 }
 
 // GoldenDepthwise computes a depthwise convolution with zero padding:
-// weights laid out [R][S][C].
+// weights laid out [R][S][C]. Each output pixel accumulates its channel
+// row tap by tap (loop order p, q, r, s, c), so every inner loop walks
+// contiguous input, weight and accumulator rows.
 func GoldenDepthwise(in []int8, h, w, c, r, s, stride, pad int, wt []int8, bias []int32, req tensor.Requant) []int8 {
 	if len(in) != h*w*c || len(wt) != r*s*c {
 		panic("golden: depthwise size mismatch")
@@ -106,27 +111,34 @@ func GoldenDepthwise(in []int8, h, w, c, r, s, stride, pad int, wt []int8, bias 
 	oh := (h+2*pad-r)/stride + 1
 	ow := (w+2*pad-s)/stride + 1
 	out := make([]int8, oh*ow*c)
+	acc := make([]int32, c)
 	for p := 0; p < oh; p++ {
 		for q := 0; q < ow; q++ {
-			for cc := 0; cc < c; cc++ {
-				var acc int32
-				if bias != nil {
-					acc = bias[cc]
+			if bias != nil {
+				copy(acc, bias[:c])
+			} else {
+				clear(acc)
+			}
+			for rr := 0; rr < r; rr++ {
+				ih := p*stride + rr - pad
+				if ih < 0 || ih >= h {
+					continue
 				}
-				for rr := 0; rr < r; rr++ {
-					ih := p*stride + rr - pad
-					if ih < 0 || ih >= h {
+				for ss := 0; ss < s; ss++ {
+					iw := q*stride + ss - pad
+					if iw < 0 || iw >= w {
 						continue
 					}
-					for ss := 0; ss < s; ss++ {
-						iw := q*stride + ss - pad
-						if iw < 0 || iw >= w {
-							continue
-						}
-						acc += int32(in[(ih*w+iw)*c+cc]) * int32(wt[(rr*s+ss)*c+cc])
+					px := in[(ih*w+iw)*c : (ih*w+iw+1)*c]
+					wrow := wt[(rr*s+ss)*c : (rr*s+ss+1)*c]
+					for cc, v := range px {
+						acc[cc] += int32(v) * int32(wrow[cc])
 					}
 				}
-				out[(p*ow+q)*c+cc] = req.Apply(acc)
+			}
+			orow := out[(p*ow+q)*c : (p*ow+q+1)*c]
+			for cc, a := range acc {
+				orow[cc] = req.Apply(a)
 			}
 		}
 	}

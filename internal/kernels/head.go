@@ -40,7 +40,8 @@ func (k *AvgPool) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, erro
 	}
 	outID := c.Dev.NewTensorID("avgpool.out")
 	c.Dev.CountCalls(1)
-	acc := c.RegAlloc(k.C, 0)
+	acc := make([]int32, k.C)
+	c.RegAlloc(acc, 0)
 	buf := make([]int8, k.C)
 	for h := 0; h < k.H; h++ {
 		for w := 0; w < k.W; w++ {

@@ -60,8 +60,8 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 	c.Dev.CountCalls(1)
 
 	aBuf := make([]int8, sp.Cin)
-	wBuf := make([]int8, sp.Cin)
 	oBuf := make([]int8, sp.Cout)
+	acc := make([]int32, sp.Cout)
 	biasBuf := make([]int32, sp.Cout)
 	if k.Bias.Len != 0 {
 		c.FlashLoadInt32(biasBuf, k.Bias, 0)
@@ -72,17 +72,11 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 		for oq := 0; oq < ow; oq++ {
 			elem := (op*sp.Stride*sp.W + oq*sp.Stride) * sp.Cin
 			c.RAMLoad(aBuf, in.Off+elem, in.ID, elem)
-			acc := c.RegAlloc(sp.Cout, 0)
+			c.RegAlloc(acc, 0)
 			if k.Bias.Len != 0 {
 				copy(acc, biasBuf)
 			}
-			for n := 0; n < sp.Cout; n++ {
-				c.FlashLoad(wBuf, k.Weight, n*sp.Cin)
-				c.DotVec(aBuf, wBuf, &acc[n])
-			}
-			for i := range oBuf {
-				oBuf[i] = c.Requantize(acc[i], k.Req)
-			}
+			c.MatVec(oBuf, aBuf, k.Weight, 0, acc, k.Req)
 			oElem := (op*ow + oq) * sp.Cout
 			c.RAMStore(outOff+oElem, oBuf, outID, oElem)
 		}

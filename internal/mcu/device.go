@@ -3,6 +3,7 @@ package mcu
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // TensorID identifies a logical tensor for shadow-state tracking.
@@ -78,9 +79,15 @@ type Device struct {
 	Profile Profile
 	Stats   Stats
 
+	// RAM storage grows on first touch: ram and shadow hold the touched
+	// prefix of the ramSize-byte address space, and every byte past it
+	// (including the spare capacity) is zero and free, exactly as on a
+	// fresh device. A device therefore costs host memory only for the RAM
+	// its kernels address.
+	ramSize   int
 	ram       []byte
 	shadow    []cell
-	flash     []byte
+	flash     []int8
 	flashUsed int
 
 	nextTensorID TensorID
@@ -100,18 +107,67 @@ type Device struct {
 // New creates a Device with the profile's RAM size and the given Flash
 // capacity in bytes.
 func New(p Profile, flashBytes int) *Device {
-	return &Device{
-		Profile:      p,
-		ram:          make([]byte, p.RAMBytes()),
-		shadow:       make([]cell, p.RAMBytes()),
-		flash:        make([]byte, flashBytes),
-		nextTensorID: 1,
-		tensorNames:  map[TensorID]string{},
+	d := &Device{tensorNames: map[TensorID]string{}}
+	d.reset(p, flashBytes)
+	return d
+}
+
+// devicePools recycles devices per RAM size (the executors build one
+// device per verified unit, thousands per second under load).
+var devicePools sync.Map // RAM bytes -> *sync.Pool of *Device
+
+// Acquire returns a device indistinguishable from New(p, flashBytes):
+// RAM zeroed and free, counters, violations, tensor IDs and names,
+// live/peak watermarks and trace state reset, and flashBytes of empty
+// Flash. It reuses the storage of a device handed back by Release when
+// one of the same RAM size is available. Pair every Acquire with one
+// Release once nothing references the device any more.
+func Acquire(p Profile, flashBytes int) *Device {
+	if d, ok := devicePool(p.RAMBytes()).Get().(*Device); ok {
+		d.reset(p, flashBytes)
+		return d
 	}
+	return New(p, flashBytes)
+}
+
+// Release hands d back for reuse by Acquire. The caller must not touch d
+// (or slices it returned, such as Violations) afterwards.
+func Release(d *Device) { devicePool(d.ramSize).Put(d) }
+
+func devicePool(ramBytes int) *sync.Pool {
+	if p, ok := devicePools.Load(ramBytes); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := devicePools.LoadOrStore(ramBytes, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// reset restores the state New produces, keeping allocated storage. The
+// storage invariant (zero past the touched prefix) makes clearing the
+// touched prefix enough.
+func (d *Device) reset(p Profile, flashBytes int) {
+	clear(d.ram)
+	clear(d.shadow)
+	d.Profile = p
+	d.Stats = Stats{}
+	d.ramSize = p.RAMBytes()
+	d.ram, d.shadow = d.ram[:0], d.shadow[:0]
+	if cap(d.flash) >= flashBytes {
+		clear(d.flash[:cap(d.flash)])
+		d.flash = d.flash[:flashBytes]
+	} else {
+		d.flash = make([]int8, flashBytes)
+	}
+	d.flashUsed = 0
+	d.nextTensorID = 1
+	clear(d.tensorNames)
+	d.violations, d.violationCount = nil, 0
+	d.liveBytes, d.peakBytes = 0, 0
+	d.traceEvery, d.traceCount, d.trace = 0, 0, nil
 }
 
 // RAMSize returns the RAM capacity in bytes.
-func (d *Device) RAMSize() int { return len(d.ram) }
+func (d *Device) RAMSize() int { return d.ramSize }
 
 // NewTensorID registers a logical tensor for shadow tracking.
 func (d *Device) NewTensorID(name string) TensorID {
@@ -157,9 +213,36 @@ func (d *Device) CheckFaults() error {
 		d.violationCount, first, d.TensorName(first.WantOwner), d.TensorName(first.GotOwner))
 }
 
-// inRAM validates an address range.
-func (d *Device) inRAM(addr, n int) bool {
-	return addr >= 0 && n >= 0 && addr+n <= len(d.ram)
+// access validates [addr, addr+n) against the RAM capacity, recording an
+// OutOfBounds violation when it falls outside, and makes the range
+// addressable in the touched prefix.
+func (d *Device) access(addr, n int) bool {
+	if addr < 0 || n < 0 || addr+n > d.ramSize {
+		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+		return false
+	}
+	if end := addr + n; end > len(d.ram) {
+		d.grow(end)
+	}
+	return true
+}
+
+// grow extends the touched prefix to at least end bytes, at least doubling
+// it (page-rounded, capped at the capacity) so growth stays amortized.
+func (d *Device) grow(end int) {
+	const page = 4096
+	n := max(end, 2*len(d.ram))
+	n = min((n+page-1)/page*page, d.ramSize)
+	if n <= cap(d.ram) {
+		// Spare capacity is zero and free by the storage invariant.
+		d.ram, d.shadow = d.ram[:n], d.shadow[:n]
+		return
+	}
+	ram := make([]byte, n)
+	copy(ram, d.ram)
+	shadow := make([]cell, n)
+	copy(shadow, d.shadow)
+	d.ram, d.shadow = ram, shadow
 }
 
 // ErrOutOfMemory is returned when an allocation exceeds RAM capacity.
@@ -169,8 +252,7 @@ var ErrOutOfMemory = errors.New("mcu: out of RAM")
 
 // Read copies n bytes at addr into dst, counting RAM read traffic.
 func (d *Device) Read(addr int, dst []byte) {
-	if !d.inRAM(addr, len(dst)) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, len(dst)) {
 		return
 	}
 	copy(dst, d.ram[addr:addr+len(dst)])
@@ -179,8 +261,7 @@ func (d *Device) Read(addr int, dst []byte) {
 
 // Write copies src into RAM at addr, counting RAM write traffic.
 func (d *Device) Write(addr int, src []byte) {
-	if !d.inRAM(addr, len(src)) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, len(src)) {
 		return
 	}
 	copy(d.ram[addr:addr+len(src)], src)
@@ -190,8 +271,7 @@ func (d *Device) Write(addr int, src []byte) {
 // ReadRaw copies RAM bytes without counting traffic (setup/extraction
 // helper for tests and harnesses; not part of the modeled execution).
 func (d *Device) ReadRaw(addr int, dst []byte) {
-	if !d.inRAM(addr, len(dst)) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, len(dst)) {
 		return
 	}
 	copy(dst, d.ram[addr:addr+len(dst)])
@@ -199,8 +279,7 @@ func (d *Device) ReadRaw(addr int, dst []byte) {
 
 // WriteRaw copies bytes into RAM without counting traffic (setup helper).
 func (d *Device) WriteRaw(addr int, src []byte) {
-	if !d.inRAM(addr, len(src)) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, len(src)) {
 		return
 	}
 	copy(d.ram[addr:addr+len(src)], src)
@@ -212,16 +291,24 @@ func (d *Device) WriteRaw(addr int, src []byte) {
 // indices starting at elem0, without touching data or counting traffic
 // (initial placement of an already-materialized tensor).
 func (d *Device) ClaimRegion(addr, n int, id TensorID, elem0 int) {
-	if !d.inRAM(addr, n) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, n) {
 		return
 	}
-	for i := 0; i < n; i++ {
-		if d.shadow[addr+i].owner == FreeOwner {
-			d.liveBytes++
+	d.claim(addr, n, id, elem0)
+}
+
+// claim tags [addr, addr+n) as (id, elem0...) and updates the live and
+// peak watermarks. The range must already be validated.
+func (d *Device) claim(addr, n int, id TensorID, elem0 int) {
+	sh := d.shadow[addr : addr+n]
+	fresh := 0
+	for i := range sh {
+		if sh[i].owner == FreeOwner {
+			fresh++
 		}
-		d.shadow[addr+i] = cell{owner: id, elem: int32(elem0 + i)}
+		sh[i] = cell{owner: id, elem: int32(elem0 + i)}
 	}
+	d.liveBytes += fresh
 	if d.liveBytes > d.peakBytes {
 		d.peakBytes = d.liveBytes
 	}
@@ -232,20 +319,11 @@ func (d *Device) ClaimRegion(addr, n int, id TensorID, elem0 int) {
 // point of segment overlapping — but the previous owner's subsequent tagged
 // reads of those bytes will be flagged.
 func (d *Device) WriteTagged(addr int, src []byte, id TensorID, elem0 int) {
-	if !d.inRAM(addr, len(src)) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, len(src)) {
 		return
 	}
 	copy(d.ram[addr:addr+len(src)], src)
-	for i := range src {
-		if d.shadow[addr+i].owner == FreeOwner {
-			d.liveBytes++
-		}
-		d.shadow[addr+i] = cell{owner: id, elem: int32(elem0 + i)}
-	}
-	if d.liveBytes > d.peakBytes {
-		d.peakBytes = d.liveBytes
-	}
+	d.claim(addr, len(src), id, elem0)
 	d.Stats.RAMWriteBytes += uint64(len(src))
 	d.traceTick()
 }
@@ -255,45 +333,48 @@ func (d *Device) WriteTagged(addr int, src []byte, id TensorID, elem0 int) {
 // mismatched byte records a violation; data is returned regardless, exactly
 // like real hardware would hand back clobbered memory.
 func (d *Device) ReadTagged(addr int, dst []byte, id TensorID, elem0 int) {
-	if !d.inRAM(addr, len(dst)) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, len(dst)) {
 		return
 	}
 	copy(dst, d.ram[addr:addr+len(dst)])
-	for i := range dst {
-		c := d.shadow[addr+i]
-		switch {
-		case c.owner == id && c.elem == int32(elem0+i):
-			// ok
-		case c.owner == FreeOwner:
-			d.record(Violation{Kind: ReadFreed, Addr: addr + i,
-				WantOwner: id, WantElem: int32(elem0 + i)})
-		case c.owner != id:
-			d.record(Violation{Kind: ReadClobbered, Addr: addr + i,
-				WantOwner: id, GotOwner: c.owner,
-				WantElem: int32(elem0 + i), GotElem: c.elem})
-		default:
-			d.record(Violation{Kind: ReadWrongElem, Addr: addr + i,
-				WantOwner: id, GotOwner: c.owner,
-				WantElem: int32(elem0 + i), GotElem: c.elem})
+	for i, c := range d.shadow[addr : addr+len(dst)] {
+		if want := int32(elem0 + i); c.owner != id || c.elem != want {
+			d.readFault(addr+i, c, id, want)
 		}
 	}
 	d.Stats.RAMReadBytes += uint64(len(dst))
+}
+
+// readFault records why a tagged read of addr, expecting (id, want),
+// found cell c instead.
+func (d *Device) readFault(addr int, c cell, id TensorID, want int32) {
+	switch {
+	case c.owner == FreeOwner:
+		d.record(Violation{Kind: ReadFreed, Addr: addr,
+			WantOwner: id, WantElem: want})
+	case c.owner != id:
+		d.record(Violation{Kind: ReadClobbered, Addr: addr,
+			WantOwner: id, GotOwner: c.owner,
+			WantElem: want, GotElem: c.elem})
+	default:
+		d.record(Violation{Kind: ReadWrongElem, Addr: addr,
+			WantOwner: id, GotOwner: c.owner,
+			WantElem: want, GotElem: c.elem})
+	}
 }
 
 // FreeTagged releases [addr, addr+n) owned by id. Bytes already stolen by
 // a later tensor are left untouched (they are live for the new owner);
 // bytes owned by an unrelated tensor record a DoubleFree.
 func (d *Device) FreeTagged(addr, n int, id TensorID) {
-	if !d.inRAM(addr, n) {
-		d.record(Violation{Kind: OutOfBounds, Addr: addr})
+	if !d.access(addr, n) {
 		return
 	}
-	for i := 0; i < n; i++ {
-		c := d.shadow[addr+i]
-		switch c.owner {
+	sh := d.shadow[addr : addr+n]
+	for i := range sh {
+		switch sh[i].owner {
 		case id:
-			d.shadow[addr+i] = cell{}
+			sh[i] = cell{}
 			d.liveBytes--
 		case FreeOwner:
 			d.record(Violation{Kind: DoubleFree, Addr: addr + i, WantOwner: id})
@@ -365,19 +446,25 @@ func (d *Device) FlashAlloc(data []byte) (FlashRef, error) {
 			d.flashUsed, len(data), len(d.flash))
 	}
 	ref := FlashRef{Off: d.flashUsed, Len: len(data)}
-	copy(d.flash[ref.Off:], data)
+	for i, b := range data {
+		d.flash[ref.Off+i] = int8(b)
+	}
 	d.flashUsed += len(data)
 	return ref, nil
 }
 
-// FlashRead copies n bytes from Flash at off into dst, counting traffic.
-func (d *Device) FlashRead(off int, dst []byte) {
-	if off < 0 || off+len(dst) > len(d.flash) {
+// FlashView returns Flash bytes [off, off+n) as int8 in place, counting
+// n bytes of Flash read traffic: kernels read weights straight from
+// Flash, as the MCU does, with no staging copy. The view is read-only by
+// contract and valid until the device is reset. An out-of-range view
+// records an OutOfBounds violation and reads as zeros.
+func (d *Device) FlashView(off, n int) []int8 {
+	if off < 0 || n < 0 || off+n > len(d.flash) {
 		d.record(Violation{Kind: OutOfBounds, Addr: off})
-		return
+		return make([]int8, max(n, 0))
 	}
-	copy(dst, d.flash[off:off+len(dst)])
-	d.Stats.FlashReadBytes += uint64(len(dst))
+	d.Stats.FlashReadBytes += uint64(n)
+	return d.flash[off : off+n : off+n]
 }
 
 // FlashUsed returns the bytes of Flash currently allocated.

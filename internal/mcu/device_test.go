@@ -176,13 +176,18 @@ func TestFlashAllocAndRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, 3)
-	d.FlashRead(ref.Off, dst)
-	if dst[2] != 3 {
+	dst := d.FlashView(ref.Off, 3)
+	if len(dst) != 3 || dst[2] != 3 {
 		t.Errorf("flash readback: %v", dst)
 	}
 	if d.Stats.FlashReadBytes != 3 {
 		t.Errorf("flash traffic = %d", d.Stats.FlashReadBytes)
+	}
+	if v := d.FlashView(ref.Off, 17); len(v) != 17 || v[0] != 0 || d.Stats.FlashReadBytes != 3 {
+		t.Errorf("out-of-range view = %v with traffic %d, want 17 zeros and no traffic", v, d.Stats.FlashReadBytes)
+	}
+	if _, n := d.Violations(); n != 1 {
+		t.Errorf("out-of-range view recorded %d violations, want 1", n)
 	}
 	if _, err := d.FlashAlloc(make([]byte, 14)); err == nil {
 		t.Error("expected flash exhaustion error")

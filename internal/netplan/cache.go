@@ -56,6 +56,9 @@ type cacheEntry struct {
 	np    *NetworkPlan
 	err   error
 	elem  *list.Element
+	// coalesced counts the lookups that found this entry still in flight;
+	// guarded by Cache.mu.
+	coalesced int
 }
 
 // NewCache returns an empty, unbounded plan cache.
@@ -152,6 +155,7 @@ func (c *Cache) Plan(net graph.Network, opts Options) (*NetworkPlan, bool, error
 		case <-e.ready:
 		default:
 			coalesced = true
+			e.coalesced++
 		}
 		c.mu.Unlock()
 		<-e.ready

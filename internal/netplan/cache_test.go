@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/mcu"
@@ -146,9 +147,17 @@ func TestCacheStampedeCoalesces(t *testing.T) {
 			results[g] = hit
 		}(g)
 	}
-	// Release the solve only after every goroutine is running; the
-	// laggards pile onto the in-flight entry while it blocks.
+	// Release the solve only once every other request is waiting on the
+	// in-flight entry: a goroutine that has started is not yet a waiter,
+	// so the gate opens on the entry's own waiter count.
 	arrived.Wait()
+	key := Key(net, Options{})
+	for i := 0; coalescedOn(c, key) < stampede-1; i++ {
+		if i == 10000 {
+			t.Fatalf("only %d of %d lookups coalesced onto the in-flight solve", coalescedOn(c, key), stampede-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 	done.Wait()
 
@@ -228,4 +237,14 @@ func TestCacheKeyCoversObjectiveFields(t *testing.T) {
 	if !hit || again.Fingerprint() != lat.Fingerprint() {
 		t.Errorf("min-latency entry not memoized under its own key (hit=%v)", hit)
 	}
+}
+
+// coalescedOn reports how many lookups have found key's entry in flight.
+func coalescedOn(c *Cache, key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		return e.coalesced
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package netplan
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/vmcu-project/vmcu/internal/graph"
@@ -100,7 +101,10 @@ func TestPlannerSpans(t *testing.T) {
 // TestRunTracedUnitSpans proves RunTraced records one KindUnit span per
 // executed unit under the given parent/trace IDs, carrying the unit's
 // device cycle counters and laying the simulated cycle axis out
-// cumulatively in network order.
+// cumulatively: ordered by StartCycles, the unit windows tile
+// [0, total cycles) with no gap or overlap. The order of spans within a
+// snapshot is not part of the contract (Snapshot orders by wall End, and
+// units run concurrently), so the test orders by StartCycles itself.
 func TestRunTracedUnitSpans(t *testing.T) {
 	tr := obs.New(obs.Options{})
 	net := graph.VWW()
@@ -120,6 +124,18 @@ func TestRunTracedUnitSpans(t *testing.T) {
 	}
 	if len(units) != wantUnits {
 		t.Fatalf("recorded %d unit spans, want %d", len(units), wantUnits)
+	}
+	seen := map[string]bool{}
+	for _, u := range units {
+		if seen[u.Name] {
+			t.Errorf("unit %s recorded more than once", u.Name)
+		}
+		seen[u.Name] = true
+	}
+	sort.SliceStable(units, func(i, j int) bool { return units[i].StartCycles < units[j].StartCycles })
+	var total float64
+	for _, r := range append(append([]graph.ExecResult(nil), run.Modules...), run.Seams...) {
+		total += r.Stats.Cycles(mcu.CortexM4())
 	}
 	cursor := 0.0
 	for _, u := range units {
@@ -147,6 +163,9 @@ func TestRunTracedUnitSpans(t *testing.T) {
 		if u.End < u.Start {
 			t.Errorf("unit %s wall window inverted: %+v", u.Name, u)
 		}
+	}
+	if cursor != total {
+		t.Errorf("unit windows end at %g cycles, want the executed total %g", cursor, total)
 	}
 }
 

@@ -94,6 +94,10 @@ func TestAlwaysKeepClassesCapturedAtTinyRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Executions are held at the gate so neither the slot occupant nor the
+	// stranded request can finish before the test lets it.
+	gate := newExecGate(func(*device) bool { return true })
+	s.testExecGate = gate.hook
 	if err := s.Register("tiny", tinyModel(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,7 @@ func TestAlwaysKeepClassesCapturedAtTinyRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, tk1)
+	gate.waitHeld(t, 1)
 
 	// One deadline shed: already expired, the next dispatcher scan drops it.
 	tkShed, err := s.Submit("tiny", SubmitOptions{Seed: 2, Deadline: time.Now().Add(-time.Second)})
@@ -128,6 +132,7 @@ func TestAlwaysKeepClassesCapturedAtTinyRate(t *testing.T) {
 	if !tkQueued.Cancel() {
 		t.Fatal("cancel lost the race against admission")
 	}
+	gate.release <- struct{}{} // tk1 is the only held execution
 	if _, err := tk1.Result(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +142,11 @@ func TestAlwaysKeepClassesCapturedAtTinyRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, tkLost)
+	gate.waitHeld(t, 2)
 	if _, err := s.CrashDevice("m4"); err != nil {
 		t.Fatal(err)
 	}
+	close(gate.release)
 	if _, err := tkLost.Result(); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("stranded request resolved with %v, want ErrDeviceLost", err)
 	}

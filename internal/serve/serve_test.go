@@ -37,20 +37,6 @@ func peakOf(t *testing.T, net graph.Network) int {
 	return np.PeakBytes
 }
 
-// waitResident polls until the ticket leaves the queue (admitted, running
-// or done) so tests can stage deterministic queue contents behind it.
-func waitResident(t *testing.T, tk *Ticket) {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		switch tk.State() {
-		case StateAdmitted, StateRunning, StateDone:
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("request %d never admitted (state %v)", tk.ID(), tk.State())
-}
-
 func TestServeLifecycle(t *testing.T) {
 	s, err := NewServer(Options{
 		Devices: []DeviceConfig{{Name: "m4", Profile: mcu.CortexM4()}},
@@ -127,6 +113,10 @@ func TestServeRejections(t *testing.T) {
 	if err := s.Register("imagenet", graph.ImageNet(), ModelConfig{}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized model registration: %v, want ErrTooLarge", err)
 	}
+	// The occupying run is held at the gate until the queue assertions
+	// are done, however fast it would otherwise finish.
+	gate := newExecGate(func(*device) bool { return true })
+	s.testExecGate = gate.hook
 	if err := s.Register("vww", graph.VWW(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +133,7 @@ func TestServeRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, busy)
+	gate.waitHeld(t, 1)
 	q1, err := s.Submit("tiny", SubmitOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +155,7 @@ func TestServeRejections(t *testing.T) {
 	if q2.Cancel() {
 		t.Error("second cancel succeeded")
 	}
+	close(gate.release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +178,8 @@ func TestServeDeadlineShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate := newExecGate(func(*device) bool { return true })
+	s.testExecGate = gate.hook
 	if err := s.Register("vww", graph.VWW(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +191,10 @@ func TestServeDeadlineShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, busy)
-	// The pool is fully reserved by the VWW run (tens of ms at least), so
-	// the impatient request cannot be admitted before its deadline.
+	gate.waitHeld(t, 1)
+	// The pool is fully reserved by the VWW run, held at the gate until
+	// the shed resolves, so the impatient request cannot be admitted
+	// before its deadline.
 	shed, err := s.Submit("impatient", SubmitOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +205,7 @@ func TestServeDeadlineShed(t *testing.T) {
 	if shed.State() != StateRejected {
 		t.Errorf("shed state = %v, want rejected", shed.State())
 	}
+	close(gate.release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -219,6 +219,9 @@ func TestTracedQueueExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The slot occupant is held at the gate until the queue exits are done.
+	gate := newExecGate(func(*device) bool { return true })
+	s.testExecGate = gate.hook
 	if err := s.Register("tiny", tinyModel(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestTracedQueueExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, tk1)
+	gate.waitHeld(t, 1)
 
 	// Second request: already-expired deadline — the next dispatcher scan
 	// sheds it before it can be admitted.
@@ -252,6 +255,7 @@ func TestTracedQueueExits(t *testing.T) {
 	if !tkQueued.Cancel() {
 		t.Fatal("cancel lost the race against admission (pool admits one request at a time)")
 	}
+	close(gate.release)
 	if _, err := tk1.Result(); err != nil {
 		t.Fatal(err)
 	}
